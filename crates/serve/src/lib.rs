@@ -38,12 +38,14 @@
 //!
 //! # Drain
 //!
-//! [`Server::shutdown`] flips the drain flag: the acceptor stops
-//! accepting (new connects are refused once the listener closes),
-//! idle keep-alive connections close at their next poll, in-flight
-//! requests run to completion, and [`Server::join`] blocks until the
-//! last one has. Nothing in-flight is cancelled — `batch_cancelled_total`
-//! stays untouched by a drain.
+//! [`Server::shutdown`] flips the drain flag and wakes the acceptor,
+//! blocked in `accept`, with one loopback connect of its own (never
+//! served or counted). The acceptor serves the connections already in
+//! its backlog and stops (new connects are refused once the listener
+//! closes), idle keep-alive connections close at their next poll,
+//! in-flight requests run to completion, and [`Server::join`] blocks
+//! until the last one has. Nothing in-flight is cancelled —
+//! `batch_cancelled_total` stays untouched by a drain.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,9 +55,9 @@ pub mod json;
 pub mod session;
 pub mod tenants;
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -135,6 +137,9 @@ pub(crate) struct Shared {
     pub(crate) registry: Arc<SchemaRegistry>,
     pub(crate) cfg: ServerConfig,
     pub(crate) draining: AtomicBool,
+    /// Local address of the connection [`Server::shutdown`] made to wake
+    /// the acceptor, so the drain sweep can tell it from a client.
+    wake_peer: Mutex<Option<SocketAddr>>,
     pub(crate) active: AtomicUsize,
     pub(crate) batch_pool: ThreadPool,
     /// Compiled page plans, built lazily from the registered schemas on
@@ -150,7 +155,6 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     acceptor: Option<thread::JoinHandle<()>>,
-    conn_pool: Option<Arc<ThreadPool>>,
 }
 
 impl Server {
@@ -163,34 +167,32 @@ impl Server {
         addr: impl ToSocketAddrs,
         cfg: ServerConfig,
     ) -> std::io::Result<Server> {
+        // a blocking listener: the acceptor sleeps in `accept` and
+        // `shutdown` wakes it with a connection of its own
         let listener = TcpListener::bind(addr)?;
-        // nonblocking accept + short sleeps lets the acceptor observe
-        // the drain flag without a wake-up channel
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let conn_pool = Arc::new(ThreadPool::new(cfg.conn_workers));
+        let conn_pool = ThreadPool::new(cfg.conn_workers);
         let shared = Arc::new(Shared {
             registry,
             batch_pool: ThreadPool::new(cfg.batch_threads),
             sessions: session::SessionTable::new(cfg.max_sessions, cfg.session_idle),
             cfg,
             draining: AtomicBool::new(false),
+            wake_peer: Mutex::new(None),
             active: AtomicUsize::new(0),
             order_templates: RwLock::new(None),
             directory_page: RwLock::new(None),
         });
         let acceptor = {
             let shared = shared.clone();
-            let pool = conn_pool.clone();
             thread::Builder::new()
                 .name("serve-acceptor".into())
-                .spawn(move || accept_loop(listener, shared, pool))?
+                .spawn(move || accept_loop(listener, shared, conn_pool))?
         };
         Ok(Server {
             shared,
             addr,
             acceptor: Some(acceptor),
-            conn_pool: Some(conn_pool),
         })
     }
 
@@ -200,10 +202,36 @@ impl Server {
     }
 
     /// Begins a graceful drain: stop accepting, close idle keep-alive
-    /// connections, let in-flight requests finish. Non-blocking and
-    /// idempotent; [`join`](Self::join) waits for completion.
+    /// connections, let in-flight requests finish. Idempotent; the
+    /// first call wakes the blocked acceptor with one loopback connect
+    /// (bounded by a one-second timeout) and returns. [`join`](Self::join)
+    /// waits for completion.
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::Release);
+        // held across flag, connect and record, so a draining acceptor
+        // that takes this lock already knows the wake connection's peer;
+        // a poisoned lock is recovered (the address is always whole)
+        // because this runs from `Drop`, which must not panic
+        let mut wake_peer = self
+            .shared
+            .wake_peer
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if self.shared.draining.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        let ip = match self.addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
+        // a failed connect leaves the acceptor to notice the flag at
+        // its next accept: a full backlog, the likely cause, means that
+        // accept returns at once
+        if let Ok(wake) =
+            TcpStream::connect_timeout(&SocketAddr::new(ip, self.addr.port()), WAKE_CONNECT_TIMEOUT)
+        {
+            *wake_peer = wake.local_addr().ok();
+        }
     }
 
     /// Whether a drain has begun.
@@ -230,24 +258,10 @@ impl Server {
     fn stop(&mut self) {
         self.shutdown();
         if let Some(acceptor) = self.acceptor.take() {
+            // the acceptor returns only after dropping the connection
+            // pool, which runs every queued and running connection job
+            // first — the drain barrier
             let _ = acceptor.join();
-        }
-        if let Some(mut pool) = self.conn_pool.take() {
-            // the acceptor has exited, so this is the last handle;
-            // dropping the pool blocks until every queued and running
-            // connection job has finished — the drain barrier
-            loop {
-                match Arc::try_unwrap(pool) {
-                    Ok(p) => {
-                        drop(p);
-                        break;
-                    }
-                    Err(p) => {
-                        pool = p;
-                        thread::sleep(Duration::from_millis(2));
-                    }
-                }
-            }
             if obs::enabled() {
                 obs::metrics()
                     .counter(
@@ -266,26 +280,97 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, pool: Arc<ThreadPool>) {
+/// Upper bound on the connect [`Server::shutdown`] makes to wake the
+/// acceptor; loopback connects complete at once unless the backlog is
+/// full.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How long the acceptor pauses after an `accept` failure that means
+/// the host is out of descriptors or memory.
+const EXHAUSTION_BACKOFF: Duration = Duration::from_millis(5);
+
+// errno values `accept` reports for descriptor or memory exhaustion
+const ENOMEM: i32 = 12;
+const ENFILE: i32 = 23;
+const EMFILE: i32 = 24;
+#[cfg(target_os = "linux")]
+const ENOBUFS: i32 = 105;
+#[cfg(not(target_os = "linux"))]
+const ENOBUFS: i32 = 55;
+
+/// Whether an `accept` failure means the host is out of descriptors or
+/// memory: retrying at once would spin until something is freed. Every
+/// other failure (`ConnectionAborted`, `Interrupted`, a network error
+/// pending on one connection) concerns a single connection or call and
+/// is retried at once.
+fn is_exhaustion(e: &std::io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(ENOMEM | ENFILE | EMFILE | ENOBUFS))
+}
+
+/// Blocks in `accept` until [`Server::shutdown`] wakes it, then serves
+/// the backlog and returns. Owns the connection pool: dropping it on
+/// return waits for every queued and running connection.
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>, pool: ThreadPool) {
     loop {
+        let accepted = listener.accept();
         if shared.draining.load(Ordering::Acquire) {
-            // sweep the backlog before closing: a connection the kernel
-            // already completed the handshake for is in flight from the
-            // client's point of view — dropping the listener would RST
-            // it. Accept whatever is pending, then stop; once the
-            // listener drops, future connects are refused by the OS.
-            while let Ok((stream, _peer)) = listener.accept() {
-                dispatch(stream, &shared, &pool);
-            }
+            drain_backlog(&listener, accepted, &shared, &pool);
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => dispatch(stream, &shared, &pool),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
+            Err(e) if is_exhaustion(&e) => thread::sleep(EXHAUSTION_BACKOFF),
+            Err(_) => {}
         }
+    }
+}
+
+/// The acceptor's last act: a connection the kernel already completed
+/// the handshake for is in flight from the client's point of view —
+/// dropping the listener would RST it. Serve `first` (what the wake-up
+/// `accept` returned) and whatever else is pending, except the wake
+/// connection itself; once the listener drops, the OS refuses future
+/// connects.
+fn drain_backlog(
+    listener: &TcpListener,
+    first: std::io::Result<(TcpStream, SocketAddr)>,
+    shared: &Arc<Shared>,
+    pool: &ThreadPool,
+) {
+    // `shutdown` records the peer before releasing this lock
+    let wake_peer = *shared
+        .wake_peer
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let serve = |(stream, peer): (TcpStream, SocketAddr)| {
+        if Some(peer) != wake_peer {
+            dispatch(stream, shared, pool);
+        }
+    };
+    if let Ok(accepted) = first {
+        serve(accepted);
+    }
+    if listener.set_nonblocking(true).is_ok() {
+        while let Ok(accepted) = listener.accept() {
+            serve(accepted);
+        }
+    }
+}
+
+/// One slot of the connection cap, released on drop — also when the
+/// handler panics, which the pool catches and survives.
+struct ConnSlot(Arc<Shared>);
+
+impl ConnSlot {
+    fn acquire(shared: &Arc<Shared>) -> ConnSlot {
+        shared.active.fetch_add(1, Ordering::AcqRel);
+        ConnSlot(shared.clone())
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.active.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -293,7 +378,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, pool: Arc<ThreadPool>
 /// the connection cap).
 fn dispatch(stream: TcpStream, shared: &Arc<Shared>, pool: &ThreadPool) {
     // accepted sockets can inherit the listener's nonblocking mode on
-    // some platforms
+    // some platforms (the drain sweep runs nonblocking)
     let _ = stream.set_nonblocking(false);
     if obs::enabled() {
         obs::metrics()
@@ -304,12 +389,8 @@ fn dispatch(stream: TcpStream, shared: &Arc<Shared>, pool: &ThreadPool) {
         refuse_connection(stream, shared);
         return;
     }
-    shared.active.fetch_add(1, Ordering::AcqRel);
-    let shared = shared.clone();
-    pool.execute(move || {
-        handle_connection(&shared, stream);
-        shared.active.fetch_sub(1, Ordering::AcqRel);
-    });
+    let slot = ConnSlot::acquire(shared);
+    pool.execute(move || handle_connection(&slot.0, stream));
 }
 
 /// Over the connection cap: answer `503` inline on the acceptor (the
@@ -1336,5 +1417,53 @@ mod tests {
             }
         };
         assert!(refused, "a drained server must not serve new connections");
+    }
+
+    #[test]
+    fn idle_servers_drain_on_loopback_and_unspecified_binds() {
+        let registry = Arc::new(SchemaRegistry::with_corpus().unwrap());
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = Server::start(registry.clone(), bind, ServerConfig::default()).unwrap();
+            let (done, finished) = std::sync::mpsc::channel();
+            let drainer = thread::spawn(move || {
+                server.drain();
+                let _ = done.send(());
+            });
+            // a hang guard, not a speed check: the wake connect must
+            // reach an acceptor blocked in `accept`
+            finished
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("drain of an idle server bound to {bind} hung"));
+            drainer.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn connection_slot_survives_a_panicking_handler() {
+        let server = corpus_server(ServerConfig::default());
+        let pool = ThreadPool::new(1);
+        let slot = ConnSlot::acquire(&server.shared);
+        assert_eq!(server.active_connections(), 1);
+        pool.execute(move || {
+            let _slot = slot;
+            panic!("handler panic while holding a connection slot");
+        });
+        drop(pool); // runs the job; the worker catches its panic
+        assert_eq!(server.active_connections(), 0);
+        server.drain();
+    }
+
+    #[test]
+    fn accept_backs_off_only_on_exhaustion() {
+        use std::io::{Error, ErrorKind};
+        for errno in [ENOMEM, ENFILE, EMFILE, ENOBUFS] {
+            assert!(
+                is_exhaustion(&Error::from_raw_os_error(errno)),
+                "errno {errno}"
+            );
+        }
+        for kind in [ErrorKind::ConnectionAborted, ErrorKind::Interrupted] {
+            assert!(!is_exhaustion(&Error::from(kind)), "{kind:?}");
+        }
     }
 }

@@ -119,10 +119,13 @@ echo "==> HTTP serving gate (socket-level conformance + torture + drain)"
 # throws malformed requests, slowloris drips, chunk-boundary splits and
 # oversized lengths at the wire layer; the drain tests complete in-flight
 # work at 2 and 8 workers; the metrics binary reconciles exported
-# counters against the exact traffic sent.
+# counters against the exact traffic sent. The service benchmark
+# (svcbench/, its own workspace) drives `serve` in-process, so its tests
+# run here too: a `serve` API change that breaks the benchmark fails.
 timeout 120 cargo test -q -p serve
 timeout 300 cargo test -q -p integration-tests \
   --test http_e2e --test http_torture --test http_drain --test http_metrics
+timeout 300 cargo test -q --release --offline --manifest-path svcbench/Cargo.toml
 
 echo "==> xmlserved smoke run (boot on an ephemeral port + scripted sweep)"
 # Boots the service end-to-end as a process and drives the request sweep

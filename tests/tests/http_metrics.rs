@@ -150,4 +150,12 @@ fn exported_counters_reconcile_exactly_with_the_traffic_sent() {
     let rejected = counter_value(&metrics, "docs_rejected_total").expect("docs_rejected_total");
     assert_eq!(rejected, 2, "413 + 422 should each count one rejection");
     server.drain();
+    // the loopback connect that wakes the acceptor on drain is not a
+    // client connection: the count still matches the connections made
+    let after_drain = obs::metrics().render_prometheus();
+    assert_eq!(
+        counter_value(&after_drain, "http_connections_total"),
+        Some(total_sent + 1),
+        "the drain's wake connection was counted"
+    );
 }

@@ -177,21 +177,56 @@ impl Histogram {
 /// Canonical label key: pairs sorted by label name.
 type LabelSet = Vec<(String, String)>;
 
-fn canonical(labels: &[(&str, &str)]) -> LabelSet {
-    let mut set: LabelSet = labels
-        .iter()
-        .map(|&(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    set.sort();
-    set
+/// One family's series, sorted by label set so a lookup can binary-search
+/// with borrowed labels and render in order.
+type Series<T> = Vec<(LabelSet, Arc<T>)>;
+
+/// Most labels a lookup sorts on the stack; longer label lists (none in
+/// this workspace) sort in a temporary `Vec`.
+const INLINE_LABELS: usize = 8;
+
+/// The series for `labels` (any order), created with `make` on first
+/// use. Allocates only when the series is new.
+fn series_entry<T>(
+    series: &mut Series<T>,
+    labels: &[(&str, &str)],
+    make: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut inline = [("", ""); INLINE_LABELS];
+    let mut spilled = Vec::new();
+    let sorted: &mut [(&str, &str)] = if labels.len() <= INLINE_LABELS {
+        inline[..labels.len()].copy_from_slice(labels);
+        &mut inline[..labels.len()]
+    } else {
+        spilled.extend_from_slice(labels);
+        &mut spilled
+    };
+    sorted.sort_unstable();
+    let found = series.binary_search_by(|(key, _)| {
+        key.iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .cmp(sorted.iter().copied())
+    });
+    match found {
+        Ok(i) => series[i].1.clone(),
+        Err(i) => {
+            let key = sorted
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            let created = Arc::new(make());
+            series.insert(i, (key, created.clone()));
+            created
+        }
+    }
 }
 
 enum FamilyKind {
-    Counter(BTreeMap<LabelSet, Arc<Counter>>),
-    Gauge(BTreeMap<LabelSet, Arc<Gauge>>),
+    Counter(Series<Counter>),
+    Gauge(Series<Gauge>),
     Histogram {
         bounds: Vec<f64>,
-        series: BTreeMap<LabelSet, Arc<Histogram>>,
+        series: Series<Histogram>,
     },
 }
 
@@ -213,6 +248,7 @@ struct Family {
 /// A metric registry: families keyed by metric name, each holding one
 /// series per label set. [`crate::metrics()`] is the process-global
 /// instance the pipeline records into; tests may build private ones.
+/// Looking up a series that already exists allocates nothing.
 #[derive(Default)]
 pub struct Registry {
     families: Mutex<BTreeMap<String, Family>>,
@@ -222,6 +258,26 @@ impl Registry {
     /// An empty registry.
     pub fn new() -> Registry {
         Registry::default()
+    }
+
+    /// Runs `f` on family `name`, registering it with `help` and
+    /// `new_kind()` first if it is new.
+    fn with_family<R>(
+        &self,
+        name: &str,
+        help: &'static str,
+        new_kind: impl FnOnce() -> FamilyKind,
+        f: impl FnOnce(&mut FamilyKind) -> R,
+    ) -> R {
+        let mut families = self.families.lock().expect("metric registry lock");
+        if let Some(family) = families.get_mut(name) {
+            return f(&mut family.kind);
+        }
+        let family = families.entry(name.to_string()).or_insert(Family {
+            help,
+            kind: new_kind(),
+        });
+        f(&mut family.kind)
     }
 
     /// The counter `name` with no labels, registering it on first use.
@@ -241,18 +297,18 @@ impl Registry {
         help: &'static str,
         labels: &[(&str, &str)],
     ) -> Arc<Counter> {
-        let mut families = self.families.lock().expect("metric registry lock");
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
+        self.with_family(
+            name,
             help,
-            kind: FamilyKind::Counter(BTreeMap::new()),
-        });
-        match &mut family.kind {
-            FamilyKind::Counter(series) => series.entry(canonical(labels)).or_default().clone(),
-            other => panic!(
-                "metric {name} already registered as a {}, not a counter",
-                other.type_name()
-            ),
-        }
+            || FamilyKind::Counter(Vec::new()),
+            |kind| match kind {
+                FamilyKind::Counter(series) => series_entry(series, labels, Counter::default),
+                other => panic!(
+                    "metric {name} already registered as a {}, not a counter",
+                    other.type_name()
+                ),
+            },
+        )
     }
 
     /// The gauge `name` with no labels, registering it on first use.
@@ -270,18 +326,18 @@ impl Registry {
         help: &'static str,
         labels: &[(&str, &str)],
     ) -> Arc<Gauge> {
-        let mut families = self.families.lock().expect("metric registry lock");
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
+        self.with_family(
+            name,
             help,
-            kind: FamilyKind::Gauge(BTreeMap::new()),
-        });
-        match &mut family.kind {
-            FamilyKind::Gauge(series) => series.entry(canonical(labels)).or_default().clone(),
-            other => panic!(
-                "metric {name} already registered as a {}, not a gauge",
-                other.type_name()
-            ),
-        }
+            || FamilyKind::Gauge(Vec::new()),
+            |kind| match kind {
+                FamilyKind::Gauge(series) => series_entry(series, labels, Gauge::default),
+                other => panic!(
+                    "metric {name} already registered as a {}, not a gauge",
+                    other.type_name()
+                ),
+            },
+        )
     }
 
     /// The histogram `name` with no labels, registering it on first use
@@ -303,24 +359,23 @@ impl Registry {
         labels: &[(&str, &str)],
         bounds: &[f64],
     ) -> Arc<Histogram> {
-        let mut families = self.families.lock().expect("metric registry lock");
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
+        self.with_family(
+            name,
             help,
-            kind: FamilyKind::Histogram {
+            || FamilyKind::Histogram {
                 bounds: bounds.to_vec(),
-                series: BTreeMap::new(),
+                series: Vec::new(),
             },
-        });
-        match &mut family.kind {
-            FamilyKind::Histogram { bounds, series } => series
-                .entry(canonical(labels))
-                .or_insert_with(|| Arc::new(Histogram::new(bounds)))
-                .clone(),
-            other => panic!(
-                "metric {name} already registered as a {}, not a histogram",
-                other.type_name()
-            ),
-        }
+            |kind| match kind {
+                FamilyKind::Histogram { bounds, series } => {
+                    series_entry(series, labels, || Histogram::new(bounds))
+                }
+                other => panic!(
+                    "metric {name} already registered as a {}, not a histogram",
+                    other.type_name()
+                ),
+            },
+        )
     }
 
     /// Drops every registered family. Existing handles keep working but

@@ -399,7 +399,14 @@ fn dispatch(stream: TcpStream, shared: &Arc<Shared>, pool: &ThreadPool) {
 fn refuse_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_write_timeout(Some(shared.cfg.write_deadline));
     let body = json::error_json("connection limit reached");
-    let _ = http::write_response(&mut stream, 503, "application/json", body.as_bytes(), false);
+    let _ = http::write_response(
+        &mut stream,
+        &mut Vec::new(),
+        503,
+        "application/json",
+        body.as_bytes(),
+        false,
+    );
     if obs::enabled() {
         obs::metrics()
             .counter(
@@ -453,24 +460,14 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                 let status = match e {
                     HttpError::Malformed(msg) => {
                         let body = json::error_json(msg);
-                        let _ = http::write_response(
-                            conn.writer(),
-                            400,
-                            "application/json",
-                            body.as_bytes(),
-                            false,
-                        );
+                        let _ =
+                            conn.write_response(400, "application/json", body.as_bytes(), false);
                         400
                     }
                     HttpError::Timeout => {
                         let body = json::error_json("request timed out");
-                        let _ = http::write_response(
-                            conn.writer(),
-                            408,
-                            "application/json",
-                            body.as_bytes(),
-                            false,
-                        );
+                        let _ =
+                            conn.write_response(408, "application/json", body.as_bytes(), false);
                         408
                     }
                     // peer gone; nothing to answer, nothing to record
@@ -496,13 +493,20 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
 fn record_request(status: u16, started: Instant, req: Option<&Request>, outcome: &ReqOutcome) {
     let elapsed = started.elapsed();
     if obs::enabled() {
-        let code = status.to_string();
+        let owned;
+        let code = match http::status_code(status) {
+            Some(code) => code,
+            None => {
+                owned = status.to_string();
+                &owned
+            }
+        };
         let metrics = obs::metrics();
         metrics
             .counter_with(
                 "http_requests_total",
                 "HTTP requests answered, by status code.",
-                &[("code", &code)],
+                &[("code", code)],
             )
             .inc();
         metrics
@@ -558,7 +562,8 @@ pub(crate) fn respond(
     body: &str,
     close: bool,
 ) -> bool {
-    http::write_response(conn.writer(), status, content_type, body.as_bytes(), !close).is_err()
+    conn.write_response(status, content_type, body.as_bytes(), !close)
+        .is_err()
         || close
 }
 

@@ -8,8 +8,11 @@
 //! Validating a document with 10× the events must cost *exactly* the
 //! same number of allocations as the small one — any per-event
 //! allocation would scale with the event count and break the equality.
+//! The same counter holds metric-registry lookups of existing series
+//! (done on every instrumented hot path) to zero allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use schema::corpus::WML_XSD;
@@ -20,9 +23,20 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// This thread's share of `ALLOCATIONS`: unaffected by the set-up
+    /// other tests run outside their measured windows.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -31,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,6 +55,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 /// The two tests measure a process-global counter; hold this across each
@@ -134,4 +152,31 @@ fn borrowed_event_stream_allocates_zero_per_event() {
         "per-event allocations detected in the parser: {cost_small} \
          allocs for {events_small} events vs {cost_large} for {events_large}"
     );
+}
+
+#[test]
+fn metric_lookups_of_existing_series_allocate_nothing() {
+    // instrumented hot paths look their series up on every call; only
+    // the first registration may allocate
+    let reg = obs::Registry::new();
+    let lookup = || {
+        reg.counter("smoke_hits_total", "Hits.").inc();
+        reg.counter_with(
+            "smoke_by_code_total",
+            "By code.",
+            &[("route", "validate"), ("code", "200")],
+        )
+        .inc();
+        reg.histogram("smoke_seconds", "Latency.", obs::DURATION_BUCKETS)
+            .observe(0.001);
+    };
+
+    lookup();
+    let before = thread_allocations();
+    for _ in 0..1000 {
+        lookup();
+    }
+    let cost = thread_allocations() - before;
+    assert_eq!(cost, 0, "{cost} allocations over 1000 repeated lookups");
+    assert_eq!(reg.counter("smoke_hits_total", "Hits.").get(), 1001);
 }

@@ -234,6 +234,48 @@ fn slow_body_drip_trips_the_deadline_with_408() {
 }
 
 #[test]
+fn body_dripping_faster_than_the_read_slice_still_trips_the_deadline() {
+    // Socket reads wait at most 100 ms per slice. A body byte every
+    // 50 ms means every read returns data and no read ever times out,
+    // so only the absolute-deadline check between reads can stop the
+    // request: the 408 must come within the deadline plus one slice.
+    let deadline = Duration::from_millis(400);
+    let slice = Duration::from_millis(100);
+    let server = server_with(ServerConfig {
+        request_deadline: deadline,
+        ..ServerConfig::default()
+    });
+    let mut stream = connect(server.addr());
+    let started = Instant::now();
+    stream
+        .write_all(
+            b"POST /v1/validate/purchase-order HTTP/1.1\r\nHost: t\r\n\
+              Content-Length: 100000\r\n\r\n<purchaseOrder orderDate=\"",
+        )
+        .unwrap();
+    let mut drip = stream.try_clone().unwrap();
+    let dripper = thread::spawn(move || {
+        // an attribute value that never ends keeps the parser waiting
+        while started.elapsed() < Duration::from_secs(3) && drip.write_all(b"2").is_ok() {
+            thread::sleep(Duration::from_millis(50));
+        }
+    });
+    let mut reader = BufReader::new(stream);
+    let (status, body) = try_read_response(&mut reader).expect("no response to the drip");
+    let answered = started.elapsed();
+    assert_eq!(status, 408, "{body}");
+    // scheduling slack on a loaded host, on top of the guarantee
+    let slack = Duration::from_millis(300);
+    assert!(
+        answered < deadline + slice + slack,
+        "408 took {answered:?}, deadline {deadline:?} plus one {slice:?} slice"
+    );
+    drop(reader);
+    dripper.join().unwrap();
+    server.drain();
+}
+
+#[test]
 fn pipelined_requests_on_one_connection_all_get_answered_in_order() {
     let server = server_with(ServerConfig::default());
     let addr = server.addr();
